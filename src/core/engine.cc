@@ -30,7 +30,7 @@ namespace core
  *
  * One explorer is one host-parallel task (§6): it only ever writes
  * its unit's NodeStats slot, its fabric delta journal, its slice of
- * the sent-bytes ledger and its buffering trace sink — never shared
+ * the sent-bytes ledger and its unit trace sink — never shared
  * engine state — so any number of explorers may run concurrently.
  */
 class HybridExplorer
@@ -492,8 +492,7 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
         context_->ensureHubBitmaps();
     const std::uint64_t per_unit = context_->cacheBytesPerUnit();
     for (unsigned u = 0; u < partition_.numUnits(); ++u) {
-        unitSinks_.push_back(
-            std::make_unique<sim::BufferingTraceSink>());
+        unitTraces_.push_back(std::make_unique<UnitTrace>());
         caches_.push_back(std::make_unique<DataCache>(
             g, config_.cachePolicy, per_unit,
             config_.cacheDegreeThreshold));
@@ -502,7 +501,7 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
             config_.horizontalSharing,
             EdgeListProvider::engineCosts(config_.cost,
                                           *caches_.back()),
-            *unitSinks_.back()));
+            unitTraces_.back()->tee));
         providers_.back()->setResidency(&context_->residency());
         if (!config_.faults.empty())
             faultSessions_.push_back(
@@ -551,11 +550,15 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
 
     // Per-unit isolation (§6): each unit journals fabric transfers
     // in a delta, attributes send-side bytes to a private ledger,
-    // traces into its own buffering sink and writes doubles only
-    // into its own NodeStats slot.  The same journals are used at
-    // every thread count — including 1 — and merged in unit order
-    // below, so modeled results are a pure function of the config,
-    // never of the thread count or the interleaving.
+    // tallies trace events into its own counting sink (buffering
+    // them too only while a user sink is installed) and writes
+    // doubles only into its own NodeStats slot.  The same journals
+    // are used at every thread count — including 1 — and merged in
+    // unit order below, so modeled results are a pure function of
+    // the config, never of the thread count or the interleaving.
+    sim::TraceSink *const user_sink = tracer_.secondary();
+    for (auto &trace : unitTraces_)
+        trace->tee.secondary(user_sink ? &trace->buffer : nullptr);
     std::vector<sim::FabricDelta> deltas;
     deltas.reserve(units);
     for (unsigned u = 0; u < units; ++u)
@@ -578,10 +581,12 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         recovery_armed ? units : 0);
 
     const auto run_unit = [&](std::size_t u) {
-        unitSinks_[u]->clear(); // drop leftovers of a failed run
+        UnitTrace &trace = *unitTraces_[u];
+        trace.counts.reset(); // drop leftovers of a failed run
+        trace.buffer.clear();
         HybridExplorer explorer(
             *this, static_cast<unsigned>(u), plan, visitor,
-            stats_.nodes[u], deltas[u], sent[u], *unitSinks_[u],
+            stats_.nodes[u], deltas[u], sent[u], trace.tee,
             session_.stealEnabled ? &stealLedgers[u] : nullptr,
             recovery_armed ? &crashReports[u] : nullptr);
         raws[u] = explorer.run();
@@ -602,12 +607,15 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         pool_->run(units, run_unit);
     }
 
-    // Ordered merge: replay each unit's trace buffer, fabric delta
+    // Ordered merge: fold each unit's trace tallies (and replay its
+    // buffer into the user sink, if one is installed), fabric delta
     // (a configured byte cap throws here, in the same unit order it
     // would have sequentially) and send-side byte attribution.
     std::int64_t raw = 0;
     for (unsigned u = 0; u < units; ++u) {
-        unitSinks_[u]->flushTo(tracer_);
+        traceCounts_.absorb(unitTraces_[u]->counts);
+        if (user_sink)
+            unitTraces_[u]->buffer.flushTo(*user_sink);
         fabric_.apply(deltas[u]);
         for (unsigned o = 0; o < units; ++o)
             stats_.nodes[o].bytesSent += sent[u][o];
@@ -785,8 +793,8 @@ Engine::resetStats()
     // khuzdul-lint: allow(fabric-mutation) sequential ledger wipe between census patterns; no units in flight
     fabric_.reset();
     traceCounts_.reset();
-    for (auto &sink : unitSinks_)
-        sink->clear();
+    for (auto &trace : unitTraces_)
+        trace->buffer.clear();
     for (auto &cache : caches_)
         cache->resetCounters();
     for (auto &provider : providers_)

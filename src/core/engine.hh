@@ -393,9 +393,28 @@ class Engine
      *  when config_.faults is); reset alongside the ledger. */
     std::vector<std::unique_ptr<sim::FaultSession>> faultSessions_;
 
-    /** Per-unit event buffers flushed into tracer_ in unit order
-     *  after each run, reproducing the sequential trace stream. */
-    std::vector<std::unique_ptr<sim::BufferingTraceSink>> unitSinks_;
+    /**
+     * One execution unit's trace path.  Providers and explorers emit
+     * into `tee`, whose primary always tallies into `counts`
+     * (O(#event kinds) memory); its secondary is `buffer` only while
+     * a user sink is installed on tracer_, nullptr otherwise, so
+     * O(events) memory is paid only for an observer.  After each run
+     * the tallies are absorbed into traceCounts_ and the buffers
+     * replayed into the user sink, both in unit order, reproducing
+     * the sequential trace stream.
+     */
+    struct UnitTrace
+    {
+        UnitTrace() = default;
+        // `tee` points at this object's own `counts`.
+        UnitTrace(const UnitTrace &) = delete;
+        UnitTrace &operator=(const UnitTrace &) = delete;
+
+        sim::CountingTraceSink counts;
+        sim::BufferingTraceSink buffer;
+        sim::TeeTraceSink tee{counts};
+    };
+    std::vector<std::unique_ptr<UnitTrace>> unitTraces_;
 
     /** Host worker pool, created lazily on the first parallel run
      *  and rebuilt when config_.hostThreads resolves differently. */

@@ -11,6 +11,13 @@
  * default), a CountingTraceSink whose per-event tallies cross-check
  * the RunStats counters, and a JsonLinesTraceSink that streams one
  * JSON object per event for offline analysis (CLI `--trace`).
+ *
+ * Tracing is pay-for-use.  Every execution unit always tallies into
+ * its own CountingTraceSink — O(#event kinds) memory per unit — and
+ * the engine sums the tallies exactly (CountingTraceSink::absorb).
+ * Only while a user sink is installed does a unit also buffer its
+ * events (BufferingTraceSink, O(events) memory) for the ordered
+ * replay that keeps the user's stream thread-count invariant.
  */
 
 #ifndef KHUZDUL_SIM_TRACE_HH
@@ -128,6 +135,10 @@ class CountingTraceSink final : public TraceSink
 
     std::uint64_t total() const;
 
+    /** Add @p other's tallies to this sink's.  Integer sums, so the
+     *  result never depends on the order sinks are absorbed in. */
+    void absorb(const CountingTraceSink &other);
+
     void reset();
 
   private:
@@ -137,10 +148,13 @@ class CountingTraceSink final : public TraceSink
 
 /**
  * Buffers events in arrival order for a deferred, ordered replay.
- * The engine gives every execution unit one of these so units can
- * trace from concurrent host threads without interleaving; after
- * the barrier the buffers are flushed into the real sink in unit
- * order, reproducing the sequential event stream byte for byte.
+ * While a user sink is installed the engine buffers every execution
+ * unit's events in one of these so units can trace from concurrent
+ * host threads without interleaving; after the barrier the buffers
+ * are flushed into the user sink in unit order, reproducing the
+ * sequential event stream byte for byte.  Flushing and clearing
+ * release the storage, so a long-lived engine does not pin its
+ * largest run's buffer.
  */
 class BufferingTraceSink final : public TraceSink
 {
@@ -156,7 +170,8 @@ class BufferingTraceSink final : public TraceSink
 
     bool empty() const { return records_.empty(); }
 
-    void clear() { records_.clear(); }
+    /** Drop every buffered event and release the storage. */
+    void clear() { std::vector<TraceRecord>().swap(records_); }
 
     /** Replay every buffered event into @p sink, then clear. */
     void
@@ -164,7 +179,7 @@ class BufferingTraceSink final : public TraceSink
     {
         for (const TraceRecord &record : records_)
             sink.emit(record);
-        records_.clear();
+        clear();
     }
 
   private:
@@ -196,6 +211,9 @@ class TeeTraceSink final : public TraceSink
 
     /** Install/replace/remove (nullptr) the secondary sink. */
     void secondary(TraceSink *sink) { secondary_ = sink; }
+
+    /** The installed secondary sink, or nullptr. */
+    TraceSink *secondary() const { return secondary_; }
 
     void
     emit(const TraceRecord &record) override
